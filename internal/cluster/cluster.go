@@ -514,10 +514,13 @@ func (c *Cluster) fetchFrom(ctx context.Context, id, key string) ([]byte, error)
 // It never blocks the serving path: a full queue drops the push and counts
 // it (anti-entropy repairs the owners later).
 func (c *Cluster) Replicate(key string, payload []byte) {
+	// Count before the send: the worker may finish the push and decrement
+	// before this goroutine runs again.
+	c.replPending.Add(1)
 	select {
 	case c.replq <- replItem{key: key, payload: payload}:
-		c.replPending.Add(1)
 	default:
+		c.replPending.Add(-1)
 		c.replDropped.Add(1)
 	}
 }

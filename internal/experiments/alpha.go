@@ -33,34 +33,51 @@ type AlphaResult struct {
 }
 
 // Alpha21164 measures on-demand precharging at the two cache levels.
+// Benchmarks fan across the worker pool; the merge walks them in input
+// order.
 func (l *Lab) Alpha21164() (AlphaResult, error) {
 	r := AlphaResult{Benchmarks: l.opts.benchmarks()}
-	var l2Slow, l1Slow, l2Rel, l2Pull, l2Extra []float64
-	for _, bench := range r.Benchmarks {
+	type cell struct{ l2Slow, l1Slow, l2Rel, l2Pull, l2Extra float64 }
+	cells := make([]cell, len(r.Benchmarks))
+	if err := l.forEach(len(r.Benchmarks), func(idx int) error {
+		bench := r.Benchmarks[idx]
 		base, err := l.Baseline(bench)
 		if err != nil {
-			return AlphaResult{}, err
+			return err
 		}
 		l2Cfg := l.runConfig(bench, Static(), Static())
 		l2Cfg.L2Policy = OnDemandPolicy()
 		l2Run, err := l.run(l2Cfg)
 		if err != nil {
-			return AlphaResult{}, err
+			return err
 		}
 		if l2Run.L2 == nil {
-			return AlphaResult{}, fmt.Errorf("experiments: L2 outcome missing for %s", bench)
+			return fmt.Errorf("experiments: L2 outcome missing for %s", bench)
 		}
 		l1Run, err := l.run(l.runConfig(bench, OnDemandPolicy(), Static()))
 		if err != nil {
-			return AlphaResult{}, err
+			return err
 		}
-		l2Slow = append(l2Slow, l2Run.Slowdown(base))
-		l1Slow = append(l1Slow, l1Run.Slowdown(base))
-		l2Rel = append(l2Rel, l2Run.L2.Discharge[tech.N70].Relative())
-		l2Pull = append(l2Pull, l2Run.L2.PulledFraction)
-		l2Extra = append(l2Extra, 1000*float64(l2Run.L2.ExtraCycles)/float64(l2Run.CPU.Committed))
-		l.note("alpha %s: L2 slowdown %.4f vs L1 %.4f", bench,
-			l2Slow[len(l2Slow)-1], l1Slow[len(l1Slow)-1])
+		c := cell{
+			l2Slow:  l2Run.Slowdown(base),
+			l1Slow:  l1Run.Slowdown(base),
+			l2Rel:   l2Run.L2.Discharge[tech.N70].Relative(),
+			l2Pull:  l2Run.L2.PulledFraction,
+			l2Extra: 1000 * float64(l2Run.L2.ExtraCycles) / float64(l2Run.CPU.Committed),
+		}
+		cells[idx] = c
+		l.note("alpha %s: L2 slowdown %.4f vs L1 %.4f", bench, c.l2Slow, c.l1Slow)
+		return nil
+	}); err != nil {
+		return AlphaResult{}, err
+	}
+	var l2Slow, l1Slow, l2Rel, l2Pull, l2Extra []float64
+	for _, c := range cells {
+		l2Slow = append(l2Slow, c.l2Slow)
+		l1Slow = append(l1Slow, c.l1Slow)
+		l2Rel = append(l2Rel, c.l2Rel)
+		l2Pull = append(l2Pull, c.l2Pull)
+		l2Extra = append(l2Extra, c.l2Extra)
 	}
 	r.L2Slowdown = stats.Mean(l2Slow)
 	r.L1Slowdown = stats.Mean(l1Slow)

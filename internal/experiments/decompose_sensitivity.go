@@ -27,42 +27,37 @@ func sensitivitySeeds(seeds []int64) []int64 {
 }
 
 // sensitivityCell computes one (seed, benchmark) cell: four policy runs over
-// one shared recorded trace. Only the lab's base seed is memoized lab-wide;
-// off-base seeds record a cell-local trace so the sweep across many seeds
-// does not pin one trace per (seed, benchmark) in memory for the lab's
-// lifetime.
+// one shared recorded trace. At the lab's own seed the runs go through the
+// run memo, where they are the baseline, oracle, on-demand and constant-
+// threshold runs the figures already made. Off-base seeds record a
+// cell-local trace and stay out of the memo, so the sweep across many seeds
+// does not pin one trace per (seed, benchmark) for the lab's lifetime.
 func (l *Lab) sensitivityCell(seed int64, bench string) (SensitivityCell, error) {
 	cfg := l.runConfig(bench, Static(), Static())
 	cfg.Seed = seed
-	if seed == l.opts.Seed {
-		tr, err := l.traceFor(cfg)
-		if err != nil {
-			return SensitivityCell{}, err
-		}
-		cfg.Trace = tr
-	} else {
+	if seed != l.opts.Seed {
 		tr, err := RecordTrace(cfg)
 		if err != nil {
 			return SensitivityCell{}, err
 		}
 		cfg.Trace = tr
 	}
-	base, err := Run(cfg)
+	base, err := l.run(cfg)
 	if err != nil {
 		return SensitivityCell{}, err
 	}
 	cfg.DPolicy, cfg.IPolicy = OraclePolicy(), OraclePolicy()
-	orc, err := Run(cfg)
+	orc, err := l.run(cfg)
 	if err != nil {
 		return SensitivityCell{}, err
 	}
 	cfg.DPolicy, cfg.IPolicy = GatedPolicy(l.opts.ConstantThreshold, true), Static()
-	gat, err := Run(cfg)
+	gat, err := l.run(cfg)
 	if err != nil {
 		return SensitivityCell{}, err
 	}
 	cfg.DPolicy, cfg.IPolicy = OnDemandPolicy(), Static()
-	od, err := Run(cfg)
+	od, err := l.run(cfg)
 	if err != nil {
 		return SensitivityCell{}, err
 	}

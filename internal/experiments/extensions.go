@@ -47,35 +47,47 @@ type ExtensionsResult struct {
 }
 
 // Extensions runs both studies on the lab's benchmark set (data cache).
+// Benchmarks fan across the worker pool; the merge walks them in input
+// order.
 func (l *Lab) Extensions() (ExtensionsResult, error) {
 	r := ExtensionsResult{Benchmarks: l.opts.benchmarks()}
-	var adRel, adSlow, offRel, constRel []float64
-	var wayAcc, gatedSave, waySave, bothSave []float64
-	var drowsySave, gdSave []float64
-	for _, bench := range r.Benchmarks {
+	type cell struct {
+		adRel, adSlow, offRel float64
+		// constRel holds the sweep's samples at the constant threshold
+		// (normally one).
+		constRel                     []float64
+		wayAcc                       float64
+		hasWayAcc                    bool
+		gatedSave, waySave, bothSave float64
+		drowsySave, gdSave           float64
+	}
+	cells := make([]cell, len(r.Benchmarks))
+	if err := l.forEach(len(r.Benchmarks), func(idx int) error {
+		bench := r.Benchmarks[idx]
+		var c cell
 		base, err := l.Baseline(bench)
 		if err != nil {
-			return ExtensionsResult{}, err
+			return err
 		}
 
 		// Adaptive controller.
 		ad, err := l.run(l.runConfig(bench, AdaptiveGatedPolicy(0, true), Static()))
 		if err != nil {
-			return ExtensionsResult{}, err
+			return err
 		}
-		adRel = append(adRel, ad.D.Discharge[tech.N70].Relative())
-		adSlow = append(adSlow, ad.Slowdown(base))
+		c.adRel = ad.D.Discharge[tech.N70].Relative()
+		c.adSlow = ad.Slowdown(base)
 
 		// Offline optimum and constant threshold from the Fig. 8 sweep.
 		pts, err := l.GatedSweep(bench, DataCache, 0)
 		if err != nil {
-			return ExtensionsResult{}, err
+			return err
 		}
 		best := BestFeasible(pts, DataCache, tech.N70, l.opts.PerfBudget)
-		offRel = append(offRel, best.Outcome.D.Discharge[tech.N70].Relative())
+		c.offRel = best.Outcome.D.Discharge[tech.N70].Relative()
 		for _, p := range pts {
 			if p.Threshold == l.opts.ConstantThreshold {
-				constRel = append(constRel, p.Outcome.D.Discharge[tech.N70].Relative())
+				c.constRel = append(c.constRel, p.Outcome.D.Discharge[tech.N70].Relative())
 			}
 		}
 
@@ -84,44 +96,65 @@ func (l *Lab) Extensions() (ExtensionsResult, error) {
 		wayCfg.WayPredictD = true
 		way, err := l.run(wayCfg)
 		if err != nil {
-			return ExtensionsResult{}, err
+			return err
 		}
 		if way.D.WayPredLookups > 0 {
-			wayAcc = append(wayAcc,
-				float64(way.D.WayPredCorrect)/float64(way.D.WayPredLookups))
+			c.wayAcc = float64(way.D.WayPredCorrect) / float64(way.D.WayPredLookups)
+			c.hasWayAcc = true
 		}
 		bothCfg := l.runConfig(bench, GatedPolicy(l.opts.ConstantThreshold, true), Static())
 		bothCfg.WayPredictD = true
 		both, err := l.run(bothCfg)
 		if err != nil {
-			return ExtensionsResult{}, err
+			return err
 		}
 		gatedOnly, err := l.run(l.runConfig(bench, GatedPolicy(l.opts.ConstantThreshold, true), Static()))
 		if err != nil {
-			return ExtensionsResult{}, err
+			return err
 		}
 		conv := base.D.Energy[tech.N70]
-		gatedSave = append(gatedSave, 1-gatedOnly.D.Energy[tech.N70].Total()/conv.Total())
-		waySave = append(waySave, 1-way.D.Energy[tech.N70].Total()/conv.Total())
-		bothSave = append(bothSave, 1-both.D.Energy[tech.N70].Total()/conv.Total())
+		c.gatedSave = 1 - gatedOnly.D.Energy[tech.N70].Total()/conv.Total()
+		c.waySave = 1 - way.D.Energy[tech.N70].Total()/conv.Total()
+		c.bothSave = 1 - both.D.Energy[tech.N70].Total()/conv.Total()
 
 		// Drowsy mode alone and combined with gating.
 		drowsyCfg := l.runConfig(bench, Static(), Static())
 		drowsyCfg.DrowsyD = l.opts.ConstantThreshold
 		drowsyRun, err := l.run(drowsyCfg)
 		if err != nil {
-			return ExtensionsResult{}, err
+			return err
 		}
 		gdCfg := l.runConfig(bench, GatedPolicy(l.opts.ConstantThreshold, true), Static())
 		gdCfg.DrowsyD = l.opts.ConstantThreshold
 		gdRun, err := l.run(gdCfg)
 		if err != nil {
-			return ExtensionsResult{}, err
+			return err
 		}
-		drowsySave = append(drowsySave, 1-drowsyRun.D.Energy[tech.N70].Total()/conv.Total())
-		gdSave = append(gdSave, 1-gdRun.D.Energy[tech.N70].Total()/conv.Total())
+		c.drowsySave = 1 - drowsyRun.D.Energy[tech.N70].Total()/conv.Total()
+		c.gdSave = 1 - gdRun.D.Energy[tech.N70].Total()/conv.Total()
+		cells[idx] = c
 		l.note("extensions %s: adaptive rel %.3f, combined save %.3f, drowsy %.3f",
-			bench, adRel[len(adRel)-1], bothSave[len(bothSave)-1], drowsySave[len(drowsySave)-1])
+			bench, c.adRel, c.bothSave, c.drowsySave)
+		return nil
+	}); err != nil {
+		return ExtensionsResult{}, err
+	}
+	var adRel, adSlow, offRel, constRel []float64
+	var wayAcc, gatedSave, waySave, bothSave []float64
+	var drowsySave, gdSave []float64
+	for _, c := range cells {
+		adRel = append(adRel, c.adRel)
+		adSlow = append(adSlow, c.adSlow)
+		offRel = append(offRel, c.offRel)
+		constRel = append(constRel, c.constRel...)
+		if c.hasWayAcc {
+			wayAcc = append(wayAcc, c.wayAcc)
+		}
+		gatedSave = append(gatedSave, c.gatedSave)
+		waySave = append(waySave, c.waySave)
+		bothSave = append(bothSave, c.bothSave)
+		drowsySave = append(drowsySave, c.drowsySave)
+		gdSave = append(gdSave, c.gdSave)
 	}
 	r.AdaptiveRelDischarge = stats.Mean(adRel)
 	r.AdaptiveSlowdown = stats.Mean(adSlow)

@@ -140,16 +140,19 @@ func (s CacheSide) String() string {
 	return "i-cache"
 }
 
-// Lab memoizes the expensive architectural runs (baselines and gated
-// threshold sweeps) shared by several figures.
+// Lab memoizes the architectural runs shared by several figures: one run
+// memo keyed by the run config's canonical identity (RunConfig.Digest, the
+// daemon's "same simulation" key), plus the gated threshold sweeps and the
+// recorded traces they replay.
 //
 // A Lab is safe for concurrent use: the memo tables are mutex-guarded and
 // every entry is a single-flight cell, so two figures requesting the same
-// run share one in-flight computation instead of duplicating it. The figure
-// generators fan their independent runs across an internal worker pool
-// bounded by Options.Parallelism and merge results in deterministic key
-// order (benchmark, then threshold — never completion order), so parallel
-// output is identical to serial output.
+// run share one in-flight computation instead of duplicating it. Memoized
+// outcomes are shared read-only. The figure generators fan their
+// independent runs across an internal worker pool bounded by
+// Options.Parallelism and merge results in deterministic key order
+// (benchmark, then threshold — never completion order), so parallel output
+// is identical to serial output.
 type Lab struct {
 	opts Options
 	// thresholds is the ascending ladder, sorted once at construction so
@@ -157,19 +160,14 @@ type Lab struct {
 	thresholds []uint64
 
 	// mu guards the memo tables (not the computations themselves).
-	mu        sync.Mutex
-	baselines map[baselineKey]*inflight[Outcome]
-	sweeps    map[sweepKey]*inflight[[]SweepPoint]
-	traces    map[traceKey]*inflight[*isa.Recorded]
+	mu     sync.Mutex
+	runs   map[string]*inflight[Outcome]
+	sweeps map[sweepKey]*inflight[[]SweepPoint]
+	traces map[traceKey]*inflight[*isa.Recorded]
 
 	// progressMu serializes progress emission; see SetProgress.
 	progressMu sync.Mutex
 	progress   func(string)
-}
-
-type baselineKey struct {
-	bench    string
-	subarray int
 }
 
 type sweepKey struct {
@@ -235,7 +233,7 @@ func NewLab(opts Options) (*Lab, error) {
 	return &Lab{
 		opts:       opts,
 		thresholds: sortedThresholds(opts.Thresholds),
-		baselines:  make(map[baselineKey]*inflight[Outcome]),
+		runs:       make(map[string]*inflight[Outcome]),
 		sweeps:     make(map[sweepKey]*inflight[[]SweepPoint]),
 		traces:     make(map[traceKey]*inflight[*isa.Recorded]),
 	}, nil
@@ -255,22 +253,64 @@ func (l *Lab) traceFor(cfg RunConfig) (*isa.Recorded, error) {
 	})
 }
 
-// run executes one configuration through the lab's shared-trace replay: the
-// per-(benchmark, seed, interleave) trace is recorded on first use and every
-// later run of the same stream replays it, so a sweep's per-point cost is
-// only the policy-dependent simulation. Results are byte-identical to
+// run executes one configuration through the lab's run memo and shared-
+// trace replay. Every config the lab builds from its own options at its own
+// seed is keyed by RunConfig.Digest and simulated at most once per lab: the
+// first requester records (or reuses) the per-(benchmark, seed, interleave)
+// trace and replays it, concurrent requesters wait on the same cell, and
+// later ones get the memoized outcome. Results are byte-identical to
 // Run(cfg) with fresh generation (pinned by TestFreshVsReplayedTrace
-// equivalence and the goldens). Custom workloads and externally-traced
-// configs pass through unchanged.
+// equivalence and the goldens).
+//
+// Configs with a caller-supplied trace, a custom workload, a tracer, or
+// another seed or instruction budget pass straight to Run and stay out of
+// the memo: a memoized outcome keeps its Config.Trace alive, so memoizing
+// an off-seed run would pin that run's trace for the lab's lifetime.
 func (l *Lab) run(cfg RunConfig) (Outcome, error) {
-	if cfg.Trace == nil && cfg.Workload == nil {
+	return l.runThen(cfg, nil)
+}
+
+// runThen is run with a hook that only the caller which actually simulates
+// cfg invokes (never a memo hit), so a progress line marks one simulation.
+func (l *Lab) runThen(cfg RunConfig, computed func(Outcome)) (Outcome, error) {
+	if cfg.Trace != nil || cfg.Workload != nil || cfg.Tracer != nil ||
+		cfg.Seed != l.opts.Seed || cfg.Instructions != l.opts.Instructions {
+		return Run(cfg)
+	}
+	key, err := cfg.Digest()
+	if err != nil {
+		return Outcome{}, err
+	}
+	return single(l, l.runs, key, func() (Outcome, error) {
 		tr, err := l.traceFor(cfg)
 		if err != nil {
 			return Outcome{}, err
 		}
 		cfg.Trace = tr
+		o, err := Run(cfg)
+		if err == nil && computed != nil {
+			computed(o)
+		}
+		return o, err
+	})
+}
+
+// publish enters an outcome the lab computed outside run (a forked sweep
+// point) into the run memo under its config's digest, unless that config
+// is already memoized or in flight.
+func (l *Lab) publish(o Outcome) error {
+	key, err := o.Config.Digest()
+	if err != nil {
+		return err
 	}
-	return Run(cfg)
+	c := &inflight[Outcome]{done: make(chan struct{}), val: o}
+	close(c.done)
+	l.mu.Lock()
+	if _, ok := l.runs[key]; !ok {
+		l.runs[key] = c
+	}
+	l.mu.Unlock()
+	return nil
 }
 
 // Options returns the lab's options.
@@ -329,7 +369,9 @@ func (l *Lab) Baseline(bench string) (Outcome, error) {
 // share the longest common prefixes, so each worker forks from its own
 // hottest snapshot. Configurations the fork engine cannot express (custom
 // machines, duplicate thresholds) fan out per point as before; either path
-// produces bit-identical outcomes (TestSnapshotForkMatchesFresh).
+// produces bit-identical outcomes (TestSnapshotForkMatchesFresh). Either
+// way every point lands in the run memo, so a figure that later runs one
+// point's config on its own (the constant-threshold run) reuses it.
 func (l *Lab) GatedSweep(bench string, side CacheSide, subarrayBytes int) ([]SweepPoint, error) {
 	if subarrayBytes == 0 {
 		subarrayBytes = l.opts.SubarrayBytes
@@ -373,6 +415,9 @@ func (l *Lab) GatedSweep(bench string, side CacheSide, subarrayBytes int) ([]Swe
 					return err
 				}
 				for k, o := range outs {
+					if err := l.publish(o); err != nil {
+						return err
+					}
 					record(lo+k, o)
 				}
 				return nil
@@ -399,19 +444,14 @@ func (l *Lab) GatedSweep(bench string, side CacheSide, subarrayBytes int) ([]Swe
 }
 
 // baselineAt returns (memoized) a baseline run at an arbitrary subarray
-// size. Memoizing the non-base sizes too lets the Figure 10 size sweep share
-// one baseline between the two cache sides.
+// size. The Figure 10 size sweep shares one baseline per size between the
+// two cache sides.
 func (l *Lab) baselineAt(bench string, subarrayBytes int) (Outcome, error) {
-	return single(l, l.baselines, baselineKey{bench, subarrayBytes}, func() (Outcome, error) {
-		cfg := l.runConfig(bench, Static(), Static())
-		cfg.SubarrayBytes = subarrayBytes
-		o, err := l.run(cfg)
-		if err != nil {
-			return Outcome{}, err
-		}
+	cfg := l.runConfig(bench, Static(), Static())
+	cfg.SubarrayBytes = subarrayBytes
+	return l.runThen(cfg, func(o Outcome) {
 		l.note("baseline %s sub=%dB: IPC %.2f dMiss %.3f", bench, subarrayBytes,
 			o.CPU.IPC, o.D.MissRatio)
-		return o, nil
 	})
 }
 

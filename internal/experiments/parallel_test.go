@@ -29,6 +29,12 @@ type labFigures struct {
 	Pre        PredecodeResult
 	Seeds      SensitivityResult
 	Machine    MachineSensitivityResult
+	Proc       ProcessorResult
+	Alpha      AlphaResult
+	Ext        ExtensionsResult
+	Proj       ProjectionResult
+	SMT        SMTResult
+	Summary    SummaryResult
 }
 
 // collectFigures regenerates the QuickOptions figure set on a reduced
@@ -67,6 +73,12 @@ func collectFigures(t *testing.T, parallelism int) (labFigures, []string) {
 	step("predecode", func() (err error) { f.Pre, err = lab.Predecode(); return })
 	step("sensitivity", func() (err error) { f.Seeds, err = lab.Sensitivity([]int64{1, 2}); return })
 	step("machine", func() (err error) { f.Machine, err = lab.MachineSensitivity(); return })
+	step("processor", func() (err error) { f.Proc, err = lab.Processor(); return })
+	step("alpha", func() (err error) { f.Alpha, err = lab.Alpha21164(); return })
+	step("extensions", func() (err error) { f.Ext, err = lab.Extensions(); return })
+	step("projection", func() (err error) { f.Proj, err = lab.Projection(); return })
+	step("smt", func() (err error) { f.SMT, err = lab.SMT(); return })
+	step("summary", func() (err error) { f.Summary, err = lab.Summary(); return })
 	return f, lines
 }
 

@@ -33,26 +33,34 @@ type ProcessorResult struct {
 }
 
 // Processor runs the processor-level evaluation over the lab's benchmarks.
+// Benchmarks fan across the worker pool; the merge walks them in input
+// order.
 func (l *Lab) Processor() (ProcessorResult, error) {
-	r := ProcessorResult{CacheShare: make(map[tech.Node]float64)}
-	shares := make(map[tech.Node][]float64)
-	var overheads, savings []float64
-	for _, bench := range l.opts.benchmarks() {
+	benches := l.opts.benchmarks()
+	type cell struct {
+		shares            []float64 // per tech.Nodes entry
+		overhead, savings float64
+		budget            power.Budget
+	}
+	cells := make([]cell, len(benches))
+	if err := l.forEach(len(benches), func(idx int) error {
+		bench := benches[idx]
 		base, err := l.Baseline(bench)
 		if err != nil {
-			return ProcessorResult{}, err
+			return err
 		}
 		gated, err := l.run(l.runConfig(bench,
 			GatedPolicy(l.opts.ConstantThreshold, true),
 			GatedPolicy(l.opts.ConstantThreshold, false)))
 		if err != nil {
-			return ProcessorResult{}, err
+			return err
 		}
 		baseAct := power.FromResult(base.CPU)
 		gatedAct := power.FromResult(gated.CPU)
-		for _, n := range tech.Nodes {
+		c := cell{shares: make([]float64, len(tech.Nodes))}
+		for ni, n := range tech.Nodes {
 			b := power.Processor(n, baseAct, base.D.Energy[n], base.I.Energy[n])
-			shares[n] = append(shares[n], b.CacheShare())
+			c.shares[ni] = b.CacheShare()
 			if n == tech.N70 {
 				g := power.Processor(n, gatedAct, gated.D.Energy[n], gated.I.Energy[n])
 				// The replays' own work: extra issued micro-ops (beyond the
@@ -68,17 +76,32 @@ func (l *Lab) Processor() (ProcessorResult, error) {
 				}
 				replayE := extraUops*power.PerUopEnergy(n) +
 					extraAcc*gated.D.Energy[n].Dynamic/float64(maxU(gated.D.Accesses, 1))
-				overheads = append(overheads, replayE/b.Total())
-				savings = append(savings, 1-g.Total()/b.Total())
-				if r.Budget.Node == 0 {
-					r.Budget = b
-				}
+				c.overhead = replayE / b.Total()
+				c.savings = 1 - g.Total()/b.Total()
+				c.budget = b
 			}
 		}
+		cells[idx] = c
 		l.note("processor %s: replays %d -> %d", bench, base.CPU.Replays, gated.CPU.Replays)
+		return nil
+	}); err != nil {
+		return ProcessorResult{}, err
 	}
-	for _, n := range tech.Nodes {
-		r.CacheShare[n] = stats.Mean(shares[n])
+	r := ProcessorResult{CacheShare: make(map[tech.Node]float64)}
+	var overheads, savings []float64
+	for _, c := range cells {
+		overheads = append(overheads, c.overhead)
+		savings = append(savings, c.savings)
+		if r.Budget.Node == 0 {
+			r.Budget = c.budget
+		}
+	}
+	for ni, n := range tech.Nodes {
+		shares := make([]float64, len(cells))
+		for i, c := range cells {
+			shares[i] = c.shares[ni]
+		}
+		r.CacheShare[n] = stats.Mean(shares)
 	}
 	r.ReplayOverhead = stats.Mean(overheads)
 	r.NetSavings = stats.Mean(savings)

@@ -24,33 +24,46 @@ type ProjectionResult struct {
 }
 
 // Projection evaluates gated and oracle discharge across the projected node
-// axis, reusing the lab's memoized sweeps.
+// axis, reusing the lab's memoized sweeps and oracle runs. Benchmarks fan
+// across the worker pool; the merge walks them in input order.
 func (l *Lab) Projection() (ProjectionResult, error) {
 	r := ProjectionResult{
 		Nodes:     tech.ProjectedNodes(),
 		GatedRel:  make(map[tech.Node]float64),
 		OracleRel: make(map[tech.Node]float64),
 	}
-	gated := map[tech.Node][]float64{}
-	oracle := map[tech.Node][]float64{}
-	for _, bench := range l.opts.benchmarks() {
+	benches := l.opts.benchmarks()
+	type cell struct{ gated, oracle []float64 } // per r.Nodes entry
+	cells := make([]cell, len(benches))
+	if err := l.forEach(len(benches), func(idx int) error {
+		bench := benches[idx]
 		pts, err := l.GatedSweep(bench, DataCache, 0)
 		if err != nil {
-			return ProjectionResult{}, err
+			return err
 		}
 		orc, err := l.run(l.runConfig(bench, OraclePolicy(), OraclePolicy()))
 		if err != nil {
-			return ProjectionResult{}, err
+			return err
 		}
-		for _, node := range r.Nodes {
+		c := cell{gated: make([]float64, len(r.Nodes)), oracle: make([]float64, len(r.Nodes))}
+		for ni, node := range r.Nodes {
 			best := BestFeasible(pts, DataCache, node, l.opts.PerfBudget)
-			gated[node] = append(gated[node], best.Outcome.D.Discharge[node].Relative())
-			oracle[node] = append(oracle[node], orc.D.Discharge[node].Relative())
+			c.gated[ni] = best.Outcome.D.Discharge[node].Relative()
+			c.oracle[ni] = orc.D.Discharge[node].Relative()
 		}
+		cells[idx] = c
+		return nil
+	}); err != nil {
+		return ProjectionResult{}, err
 	}
-	for _, node := range r.Nodes {
-		r.GatedRel[node] = stats.Mean(gated[node])
-		r.OracleRel[node] = stats.Mean(oracle[node])
+	for ni, node := range r.Nodes {
+		gated := make([]float64, len(cells))
+		oracle := make([]float64, len(cells))
+		for i, c := range cells {
+			gated[i], oracle[i] = c.gated[ni], c.oracle[ni]
+		}
+		r.GatedRel[node] = stats.Mean(gated)
+		r.OracleRel[node] = stats.Mean(oracle)
 	}
 	return r, nil
 }

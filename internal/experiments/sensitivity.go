@@ -22,9 +22,9 @@ type SensitivityResult struct {
 }
 
 // Sensitivity reruns three headline measurements across seeds on the lab's
-// benchmark subset. It does not touch the lab's memoized runs (each seed
-// builds its own runs; only the base seed's recorded trace is shared with
-// the lab). The (seed × benchmark) grid fans across the worker pool; the
+// benchmark subset. The lab's own seed reuses its memoized runs; every
+// other seed builds its own runs over a cell-local trace and leaves the
+// memo alone. The (seed × benchmark) grid fans across the worker pool; the
 // per-seed summaries accumulate in seed order afterwards.
 // The (seed × benchmark) cells and the merge are shared with the figure's
 // registered Decomposition (decompose_sensitivity.go).

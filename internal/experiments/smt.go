@@ -28,41 +28,58 @@ type SMTResult struct {
 
 // SMT pairs up the lab's benchmarks (1st with 2nd, 3rd with 4th, ...) and
 // measures subarray locality and gated effectiveness under interleaving.
+// Pairs fan across the worker pool; the merge walks them in input order.
 func (l *Lab) SMT() (SMTResult, error) {
 	benches := l.opts.benchmarks()
-	var r SMTResult
-	var singleHot, smtHot, singleRel, smtRel []float64
-	for i := 0; i+1 < len(benches); i += 2 {
-		a, b := benches[i], benches[i+1]
-		r.Pairs = append(r.Pairs, a+"+"+b)
-		for _, bench := range []string{a, b} {
+	type cell struct {
+		singleHot, singleRel [2]float64 // the pair's two benchmarks alone
+		smtHot, smtRel       float64
+	}
+	cells := make([]cell, len(benches)/2)
+	if err := l.forEach(len(cells), func(p int) error {
+		a, b := benches[2*p], benches[2*p+1]
+		var c cell
+		for k, bench := range []string{a, b} {
 			base, err := l.Baseline(bench)
 			if err != nil {
-				return SMTResult{}, err
+				return err
 			}
-			singleHot = append(singleHot, base.D.Locality.HotFraction()[2])
+			c.singleHot[k] = base.D.Locality.HotFraction()[2]
 			gated, err := l.run(l.runConfig(bench, GatedPolicy(l.opts.ConstantThreshold, true), Static()))
 			if err != nil {
-				return SMTResult{}, err
+				return err
 			}
-			singleRel = append(singleRel, gated.D.Discharge[tech.N70].Relative())
+			c.singleRel[k] = gated.D.Discharge[tech.N70].Relative()
 		}
 		smtBase := l.runConfig(a, Static(), Static())
 		smtBase.SecondBenchmark = b
 		ob, err := l.run(smtBase)
 		if err != nil {
-			return SMTResult{}, err
+			return err
 		}
-		smtHot = append(smtHot, ob.D.Locality.HotFraction()[2])
+		c.smtHot = ob.D.Locality.HotFraction()[2]
 		smtGated := l.runConfig(a, GatedPolicy(l.opts.ConstantThreshold, true), Static())
 		smtGated.SecondBenchmark = b
 		og, err := l.run(smtGated)
 		if err != nil {
-			return SMTResult{}, err
+			return err
 		}
-		smtRel = append(smtRel, og.D.Discharge[tech.N70].Relative())
-		l.note("smt %s+%s: hot %.3f vs single %.3f", a, b,
-			smtHot[len(smtHot)-1], stats.Mean(singleHot))
+		c.smtRel = og.D.Discharge[tech.N70].Relative()
+		cells[p] = c
+		return nil
+	}); err != nil {
+		return SMTResult{}, err
+	}
+	var r SMTResult
+	var singleHot, smtHot, singleRel, smtRel []float64
+	for p, c := range cells {
+		a, b := benches[2*p], benches[2*p+1]
+		r.Pairs = append(r.Pairs, a+"+"+b)
+		singleHot = append(singleHot, c.singleHot[:]...)
+		singleRel = append(singleRel, c.singleRel[:]...)
+		smtHot = append(smtHot, c.smtHot)
+		smtRel = append(smtRel, c.smtRel)
+		l.note("smt %s+%s: hot %.3f vs single %.3f", a, b, c.smtHot, stats.Mean(singleHot))
 	}
 	r.SingleHot = stats.Mean(singleHot)
 	r.SMTHot = stats.Mean(smtHot)

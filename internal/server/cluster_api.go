@@ -115,8 +115,16 @@ func (s *Server) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "push with empty key")
 		return
 	}
+	// The store write joins the drain WaitGroup, so Close returns only after
+	// every accepted push is on disk; a push arriving once Close has begun is
+	// refused, and the owners' next anti-entropy sweep repairs the gap.
+	if !s.startWork() {
+		writeJSONError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
 	s.m.peerPushesAccepted.Add(1)
 	s.publish(env.Key, env.Payload)
+	s.wg.Done()
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"nanocache/internal/circuit"
 	"nanocache/internal/experiments"
 )
 
@@ -74,6 +75,22 @@ func parseInts(q url.Values, name string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// checkSubarraySizes rejects Figure 10 subarray sizes the L1 cannot be
+// built with: a size must be a multiple of the line that divides the cache
+// (32 B … 32 KB for the paper's 32 KB L1 with 32 B lines). Every accepted
+// size memoizes a baseline and a sweep per benchmark in the lab for its
+// lifetime, so the check also bounds what a query string can make it hold.
+func checkSubarraySizes(sizes []int) error {
+	g := circuit.DefaultGeometry()
+	for _, s := range sizes {
+		if s%g.LineBytes != 0 || g.CacheBytes%s != 0 {
+			return badParamf("bad sizes element %d (want a multiple of the %d B line that divides the %d B L1: %d … %d)",
+				s, g.LineBytes, g.CacheBytes, g.LineBytes, g.CacheBytes)
+		}
+	}
+	return nil
 }
 
 // figureRegistry maps endpoint names to builders. Everything the figures CLI
@@ -264,6 +281,9 @@ func canonicalFigureParams(name string, spec figureSpec, q url.Values) ([][2]str
 		case "sizes":
 			sizes, err := parseInts(q, k)
 			if err != nil {
+				return nil, err
+			}
+			if err := checkSubarraySizes(sizes); err != nil {
 				return nil, err
 			}
 			parts := make([]string, len(sizes))

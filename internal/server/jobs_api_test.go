@@ -240,6 +240,54 @@ func TestJobCancelHTTP(t *testing.T) {
 	}
 }
 
+// TestFig10SizeValidation table-drives Figure 10's subarray sizes through
+// both entry points that canonicalize them. A size the L1 cannot be built
+// with is a 400 on the synchronous GET and on job submission alike: never a
+// 500 after taking a cold admission slot, nor a 202 for a job that fails
+// after burning its retries. The geometry's two extremes are served by both.
+func TestFig10SizeValidation(t *testing.T) {
+	_, ts := newTestServer(t, Config{Options: tinyOptions()})
+	cases := []struct {
+		sizes string
+		ok    bool
+	}{
+		{"1000", false},
+		{"3", false},
+		{"65536", false},
+		{"16", false},
+		{"96", false},
+		{"1024,48", false},
+		{"32", true},
+		{"32768", true},
+	}
+	for _, c := range cases {
+		t.Run(c.sizes, func(t *testing.T) {
+			wantGet, wantJob := http.StatusBadRequest, http.StatusBadRequest
+			if c.ok {
+				wantGet, wantJob = http.StatusOK, http.StatusAccepted
+			}
+			code, _, body := get(t, ts.URL+"/v1/figures/fig10?sizes="+c.sizes)
+			if code != wantGet {
+				t.Errorf("GET: status %d, want %d (body %s)", code, wantGet, body)
+			}
+			code, body = postJSON(t, ts.URL+"/v1/jobs", `{"figure":"fig10","params":{"sizes":"`+c.sizes+`"}}`)
+			if code != wantJob {
+				t.Fatalf("POST /v1/jobs: status %d, want %d (body %s)", code, wantJob, body)
+			}
+			if !c.ok {
+				return
+			}
+			var j jobs.Job
+			if err := json.Unmarshal(body, &j); err != nil {
+				t.Fatal(err)
+			}
+			if done := waitJobHTTP(t, ts.URL, j.ID); done.State != jobs.StateDone {
+				t.Errorf("job ended %s (%s), want done", done.State, done.Error)
+			}
+		})
+	}
+}
+
 // TestJobBadRequests table-drives the job API failure surface.
 func TestJobBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: tinyOptions()})

@@ -598,6 +598,13 @@ func (s *Server) compute(fl *flight, key string, class reqClass,
 		if err == nil {
 			s.cache.Put(key, payload)
 			s.flights.forget(key, fl)
+			// Write-behind replication: the owners get a copy so the rest of
+			// the cluster never recomputes this key. Queued, never blocking,
+			// and queued before the waiters resolve, so a FlushReplication
+			// issued after the response has the push to wait for.
+			if s.cluster != nil {
+				s.cluster.Replicate(key, payload)
+			}
 			fl.finish(payload, nil)
 			// Write-behind into the durable tier: waiters are already
 			// resolved, so the disk write costs no request latency. The
@@ -605,11 +612,6 @@ func (s *Server) compute(fl *flight, key string, class reqClass,
 			// Close cannot complete with this write in flight.
 			if s.store != nil {
 				s.store.Put(key, payload)
-			}
-			// Write-behind replication: the owners get a copy so the rest of
-			// the cluster never recomputes this key. Queued, never blocking.
-			if s.cluster != nil {
-				s.cluster.Replicate(key, payload)
 			}
 			return
 		}

@@ -206,8 +206,9 @@ func DefaultOptions() Options { return experiments.DefaultOptions() }
 // QuickOptions returns reduced options for quick runs and tests.
 func QuickOptions() Options { return experiments.QuickOptions() }
 
-// Lab memoizes baselines and threshold sweeps across experiments. A Lab is
-// safe for concurrent use; identical in-flight requests are deduplicated
+// Lab memoizes every architectural run (keyed by the run config's digest)
+// and every threshold sweep across experiments. A Lab is safe for
+// concurrent use; identical in-flight requests are deduplicated
 // (single-flight) and the figure generators fan independent runs across a
 // worker pool, merging in deterministic order.
 type Lab = experiments.Lab
