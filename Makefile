@@ -98,7 +98,7 @@ bench-cluster-compare:
 		./internal/cluster/clustertest/ > BENCH_cluster.new.json
 	go run ./cmd/benchdiff -cluster -old BENCH_cluster.json -new BENCH_cluster.new.json -tolerance 0.25
 
-# CPU and heap profiles of the incremental sweep engine benchmark, with a
+# CPU and heap profiles of the per-point replay sweep benchmark, with a
 # top-10 symbol summary of each printed for a quick look; open the .pprof
 # files with `go tool pprof` for the full view.
 profile:
@@ -154,8 +154,7 @@ FUZZ_TARGETS := \
 	FuzzStoreEnvelope:./internal/store \
 	FuzzPeerEnvelope:./internal/cluster \
 	FuzzPointSpecEnvelope:./internal/distsweep \
-	FuzzBatchEnvelope:./internal/distsweep \
-	FuzzSnapshotRestore:./internal/experiments
+	FuzzBatchEnvelope:./internal/distsweep
 
 fuzz:
 	@set -e; for entry in $(FUZZ_TARGETS); do \

@@ -423,52 +423,6 @@ func (c *L1) Finish(end uint64) {
 	}
 }
 
-// CopyStateFrom copies src's accumulated array and statistics state — tags,
-// LRU order, way-predictor table, locality tracker and counters — into c,
-// which must have the same geometry. Controller state is NOT copied: the
-// experiment layer copies it through the concrete controller types (see
-// core.Gated.CopyStateFrom), because a fork may deliberately pair the copied
-// state with a different decay threshold. Resizable and drowsy caches are
-// refused — their interval state is entangled with the policy being swept,
-// and the fork engine excludes them.
-func (c *L1) CopyStateFrom(src *L1) error {
-	if c.sets != src.sets || c.ways != src.ways || c.lineShift != src.lineShift ||
-		c.setsPerSub != src.setsPerSub || c.baseLat != src.baseLat {
-		return fmt.Errorf("cache: L1 geometry mismatch")
-	}
-	if c.resizer != nil || src.resizer != nil {
-		return fmt.Errorf("cache: resizable caches cannot fork")
-	}
-	if c.drowsy != nil || src.drowsy != nil {
-		return fmt.Errorf("cache: drowsy caches cannot fork")
-	}
-	if (c.wayPred == nil) != (src.wayPred == nil) {
-		return fmt.Errorf("cache: way-prediction enablement differs")
-	}
-	copy(c.tags, src.tags)
-	copy(c.valid, src.valid)
-	if c.wayPred != nil {
-		copy(c.wayPred, src.wayPred)
-	}
-	c.wayPredOK = src.wayPredOK
-	c.wayPredLookups = src.wayPredLookups
-	if (c.loc == nil) != (src.loc == nil) {
-		return fmt.Errorf("cache: locality-tracking enablement differs")
-	}
-	if c.loc != nil {
-		if err := c.loc.CopyStateFrom(src.loc); err != nil {
-			return err
-		}
-	}
-	c.intAccesses = src.intAccesses
-	c.intMisses = src.intMisses
-	c.accesses = src.accesses
-	c.misses = src.misses
-	c.flushes = src.flushes
-	c.finished = src.finished
-	return nil
-}
-
 // Stats returns aggregate counters.
 func (c *L1) Stats() (accesses, misses, flushes uint64) {
 	return c.accesses, c.misses, c.flushes
@@ -623,25 +577,6 @@ func (c *L2) Finish(end uint64) {
 	}
 	c.finished = true
 	c.ctrl.Finish(end)
-}
-
-// CopyStateFrom copies src's array and statistics state into c, which must
-// have the same shape. Policy-controlled L2s are refused: the fork engine
-// only handles the conventional (static) L2, whose controller is nil.
-func (c *L2) CopyStateFrom(src *L2) error {
-	if c.sets != src.sets || c.ways != src.ways || c.lineShift != src.lineShift {
-		return fmt.Errorf("cache: L2 shape mismatch")
-	}
-	if c.ctrl != nil || src.ctrl != nil {
-		return fmt.Errorf("cache: policy-controlled L2s cannot fork")
-	}
-	copy(c.tags, src.tags)
-	copy(c.valid, src.valid)
-	c.accesses = src.accesses
-	c.misses = src.misses
-	c.extraCycles = src.extraCycles
-	c.finished = src.finished
-	return nil
 }
 
 // Controller exposes the L2's precharge controller (nil when conventional).

@@ -28,15 +28,6 @@ type Gated struct {
 	pullAt  []uint64
 	lastUse []uint64
 
-	// maxGap is the largest idle gap (observation timestamp minus the
-	// subarray's last use) seen on any touched subarray so far. It is the
-	// divergence watermark of the incremental sweep engine: a gated run at
-	// threshold T is bit-identical to this one while maxGap < T, because
-	// every decision — and every ledger interval boundary, which is dated
-	// lastUse+threshold — depends on the threshold only through gaps that
-	// reach it (untouched subarrays isolate threshold-independently).
-	maxGap uint64
-
 	stats AccessStats
 	done  bool
 }
@@ -107,9 +98,6 @@ func (p *Gated) AccessPenalty(sub int, now uint64) int {
 		// late-arriving earlier access hits a still-hot subarray.
 		return 0
 	}
-	if p.touched[sub] && now-p.lastUse[sub] > p.maxGap {
-		p.maxGap = now - p.lastUse[sub]
-	}
 	pen := 0
 	if since, isolated := p.isolatedAt(sub, now); isolated {
 		p.wake(sub, now, since)
@@ -133,9 +121,6 @@ func (p *Gated) Hint(sub int, now uint64) {
 	p.stats.Hints++
 	if p.touched[sub] && now < p.lastUse[sub] {
 		return
-	}
-	if p.touched[sub] && now-p.lastUse[sub] > p.maxGap {
-		p.maxGap = now - p.lastUse[sub]
 	}
 	if since, isolated := p.isolatedAt(sub, now); isolated {
 		p.wake(sub, now, since)
@@ -173,162 +158,3 @@ func (p *Gated) Ledger() *sram.Ledger { return p.ledger }
 
 // Stats returns access statistics, including stall and hint counts.
 func (p *Gated) Stats() AccessStats { return p.stats }
-
-// MaxObservedGap returns the divergence watermark: the largest idle gap any
-// observation has seen on a touched subarray. A gated run at threshold T
-// behaves bit-identically to this one while MaxObservedGap() < T.
-func (p *Gated) MaxObservedGap() uint64 { return p.maxGap }
-
-// CopyStateFrom copies src's accumulated dynamic state — recency arrays,
-// ledger and statistics — into p, keeping the receiver's own threshold,
-// penalty and idle observer. This is the controller's piece of the sweep
-// engine's checkpoint-and-fork: a fork constructed at a different decay
-// threshold inherits the shared prefix's state and diverges only from the
-// first decay decision the new threshold changes (DESIGN.md §12 proves no
-// such decision exists before the snapshot cycle).
-func (p *Gated) CopyStateFrom(src *Gated) error {
-	if p.n != src.n {
-		return fmt.Errorf("core: gated shape mismatch: %d vs %d subarrays", p.n, src.n)
-	}
-	if p.penalty != src.penalty {
-		return fmt.Errorf("core: gated penalty mismatch: %d vs %d", p.penalty, src.penalty)
-	}
-	copy(p.touched, src.touched)
-	copy(p.pullAt, src.pullAt)
-	copy(p.lastUse, src.lastUse)
-	p.maxGap = src.maxGap
-	p.stats = src.stats
-	p.done = src.done
-	return p.ledger.CopyStateFrom(src.ledger)
-}
-
-// EagerGated is the naive reference implementation of gated precharging
-// that materializes every decay counter every cycle, exactly as the
-// hardware of Fig. 7 does. It exists to validate Gated's lazy bookkeeping
-// (a property test asserts identical stalls, pulled time, toggles and idle
-// intervals) and to ablate the cost (BenchmarkAblationCounters). Unlike
-// Gated it needs Tick called once per cycle.
-type EagerGated struct {
-	n         int
-	threshold uint64
-	penalty   int
-	ledger    *sram.Ledger
-
-	counter    []uint64
-	precharged []bool
-	pullAt     []uint64
-	isoAt      []uint64
-	everUsed   []bool
-	// holdUntil freezes a subarray's decay counter until its in-flight
-	// pull-up completes (accesses that stalled restart decay at now+pen,
-	// mirroring Gated.AccessPenalty's completion-time bookkeeping).
-	holdUntil []uint64
-
-	now   uint64
-	stats AccessStats
-	done  bool
-}
-
-// NewEagerGated returns the per-cycle reference implementation.
-func NewEagerGated(n int, threshold uint64, penalty int, obs sram.IdleObserver) *EagerGated {
-	if threshold < 1 || threshold > MaxThreshold {
-		panic(fmt.Sprintf("core: gated threshold %d outside [1, %d]", threshold, MaxThreshold))
-	}
-	g := &EagerGated{
-		n:          n,
-		threshold:  threshold,
-		penalty:    penalty,
-		ledger:     sram.NewLedger(n, obs),
-		counter:    make([]uint64, n),
-		precharged: make([]bool, n),
-		pullAt:     make([]uint64, n),
-		isoAt:      make([]uint64, n),
-		everUsed:   make([]bool, n),
-		holdUntil:  make([]uint64, n),
-	}
-	for s := 0; s < n; s++ {
-		g.counter[s] = threshold // start cold
-	}
-	return g
-}
-
-// Tick advances the clock to cycle now, saturating counters and isolating
-// subarrays whose counters cross the threshold. now must be non-decreasing.
-func (g *EagerGated) Tick(now uint64) {
-	for ; g.now < now; g.now++ {
-		for s := 0; s < g.n; s++ {
-			if g.now < g.holdUntil[s] {
-				continue // pull-up in flight: the counter cannot decay yet
-			}
-			if g.counter[s] < g.threshold {
-				g.counter[s]++
-				if g.counter[s] >= g.threshold && g.precharged[s] {
-					g.precharged[s] = false
-					g.isoAt[s] = g.now + 1
-					g.ledger.AddPulled(s, g.now+1-g.pullAt[s])
-				}
-			}
-		}
-	}
-}
-
-// Name implements Controller.
-func (g *EagerGated) Name() string { return fmt.Sprintf("%s-eager(t=%d)", KindGated, g.threshold) }
-
-// AccessPenalty implements Controller. Tick must have advanced to now.
-func (g *EagerGated) AccessPenalty(sub int, now uint64) int {
-	g.Tick(now)
-	g.stats.Accesses++
-	pen := 0
-	if !g.precharged[sub] {
-		g.ledger.EndIdle(sub, now-g.isoAt[sub], true)
-		g.precharged[sub] = true
-		g.pullAt[sub] = now
-		g.everUsed[sub] = true
-		g.stats.Stalled++
-		pen = g.penalty
-		// Freeze the counter until the pull-up completes (see holdUntil).
-		g.holdUntil[sub] = now + uint64(pen)
-	}
-	g.counter[sub] = 0
-	return pen
-}
-
-// Hint implements Controller.
-func (g *EagerGated) Hint(sub int, now uint64) {
-	g.Tick(now)
-	g.stats.Hints++
-	if !g.precharged[sub] {
-		g.ledger.EndIdle(sub, now-g.isoAt[sub], true)
-		g.precharged[sub] = true
-		g.pullAt[sub] = now
-		g.everUsed[sub] = true
-		g.stats.HintPullUps++
-	}
-	g.counter[sub] = 0
-}
-
-// ExtraAccessLatency implements Controller.
-func (g *EagerGated) ExtraAccessLatency() int { return 0 }
-
-// Finish implements Controller.
-func (g *EagerGated) Finish(end uint64) {
-	if g.done {
-		panic("core: Finish called twice")
-	}
-	g.done = true
-	g.Tick(end)
-	for s := 0; s < g.n; s++ {
-		if g.precharged[s] {
-			g.ledger.AddPulled(s, end-g.pullAt[s])
-		} else {
-			g.ledger.EndIdle(s, end-g.isoAt[s], false)
-		}
-	}
-}
-
-// Ledger implements Controller.
-func (g *EagerGated) Ledger() *sram.Ledger { return g.ledger }
-
-// Stats returns access statistics.
-func (g *EagerGated) Stats() AccessStats { return g.stats }

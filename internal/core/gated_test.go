@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nanocache/internal/sram"
 )
 
 func TestGatedKeepsHotSubarrayPrecharged(t *testing.T) {
@@ -268,3 +271,134 @@ func TestGatedOutOfOrderTimestamps(t *testing.T) {
 		t.Errorf("pulled = %d, want 51", led.PulledOn(0))
 	}
 }
+
+// EagerGated is the naive reference implementation of gated precharging
+// that materializes every decay counter every cycle, exactly as the
+// hardware of Fig. 7 does. It exists to validate Gated's lazy bookkeeping
+// (a property test asserts identical stalls, pulled time, toggles and idle
+// intervals) and to ablate the cost (BenchmarkAblationCounters). Unlike
+// Gated it needs Tick called once per cycle.
+type EagerGated struct {
+	n         int
+	threshold uint64
+	penalty   int
+	ledger    *sram.Ledger
+
+	counter    []uint64
+	precharged []bool
+	pullAt     []uint64
+	isoAt      []uint64
+	everUsed   []bool
+	// holdUntil freezes a subarray's decay counter until its in-flight
+	// pull-up completes (accesses that stalled restart decay at now+pen,
+	// mirroring Gated.AccessPenalty's completion-time bookkeeping).
+	holdUntil []uint64
+
+	now   uint64
+	stats AccessStats
+	done  bool
+}
+
+// NewEagerGated returns the per-cycle reference implementation.
+func NewEagerGated(n int, threshold uint64, penalty int, obs sram.IdleObserver) *EagerGated {
+	if threshold < 1 || threshold > MaxThreshold {
+		panic(fmt.Sprintf("core: gated threshold %d outside [1, %d]", threshold, MaxThreshold))
+	}
+	g := &EagerGated{
+		n:          n,
+		threshold:  threshold,
+		penalty:    penalty,
+		ledger:     sram.NewLedger(n, obs),
+		counter:    make([]uint64, n),
+		precharged: make([]bool, n),
+		pullAt:     make([]uint64, n),
+		isoAt:      make([]uint64, n),
+		everUsed:   make([]bool, n),
+		holdUntil:  make([]uint64, n),
+	}
+	for s := 0; s < n; s++ {
+		g.counter[s] = threshold // start cold
+	}
+	return g
+}
+
+// Tick advances the clock to cycle now, saturating counters and isolating
+// subarrays whose counters cross the threshold. now must be non-decreasing.
+func (g *EagerGated) Tick(now uint64) {
+	for ; g.now < now; g.now++ {
+		for s := 0; s < g.n; s++ {
+			if g.now < g.holdUntil[s] {
+				continue // pull-up in flight: the counter cannot decay yet
+			}
+			if g.counter[s] < g.threshold {
+				g.counter[s]++
+				if g.counter[s] >= g.threshold && g.precharged[s] {
+					g.precharged[s] = false
+					g.isoAt[s] = g.now + 1
+					g.ledger.AddPulled(s, g.now+1-g.pullAt[s])
+				}
+			}
+		}
+	}
+}
+
+// Name implements Controller.
+func (g *EagerGated) Name() string { return fmt.Sprintf("%s-eager(t=%d)", KindGated, g.threshold) }
+
+// AccessPenalty implements Controller. Tick must have advanced to now.
+func (g *EagerGated) AccessPenalty(sub int, now uint64) int {
+	g.Tick(now)
+	g.stats.Accesses++
+	pen := 0
+	if !g.precharged[sub] {
+		g.ledger.EndIdle(sub, now-g.isoAt[sub], true)
+		g.precharged[sub] = true
+		g.pullAt[sub] = now
+		g.everUsed[sub] = true
+		g.stats.Stalled++
+		pen = g.penalty
+		// Freeze the counter until the pull-up completes (see holdUntil).
+		g.holdUntil[sub] = now + uint64(pen)
+	}
+	g.counter[sub] = 0
+	return pen
+}
+
+// Hint implements Controller.
+func (g *EagerGated) Hint(sub int, now uint64) {
+	g.Tick(now)
+	g.stats.Hints++
+	if !g.precharged[sub] {
+		g.ledger.EndIdle(sub, now-g.isoAt[sub], true)
+		g.precharged[sub] = true
+		g.pullAt[sub] = now
+		g.everUsed[sub] = true
+		g.stats.HintPullUps++
+	}
+	g.counter[sub] = 0
+}
+
+// ExtraAccessLatency implements Controller.
+func (g *EagerGated) ExtraAccessLatency() int { return 0 }
+
+// Finish implements Controller.
+func (g *EagerGated) Finish(end uint64) {
+	if g.done {
+		panic("core: Finish called twice")
+	}
+	g.done = true
+	g.Tick(end)
+	for s := 0; s < g.n; s++ {
+		if g.precharged[s] {
+			g.ledger.AddPulled(s, end-g.pullAt[s])
+		} else {
+			g.ledger.EndIdle(s, end-g.isoAt[s], false)
+		}
+	}
+}
+
+// Ledger implements Controller.
+func (g *EagerGated) Ledger() *sram.Ledger { return g.ledger }
+
+// Stats returns access statistics.
+func (g *EagerGated) Stats() AccessStats { return g.stats }

@@ -152,17 +152,6 @@ func (p *StaticPullUp) Ledger() *sram.Ledger { return p.ledger }
 // Stats returns access statistics.
 func (p *StaticPullUp) Stats() AccessStats { return p.stats }
 
-// CopyStateFrom copies src's accumulated state into p, keeping the
-// receiver's own idle observer (see Gated.CopyStateFrom).
-func (p *StaticPullUp) CopyStateFrom(src *StaticPullUp) error {
-	if p.n != src.n {
-		return fmt.Errorf("core: static shape mismatch: %d vs %d subarrays", p.n, src.n)
-	}
-	p.stats = src.stats
-	p.done = src.done
-	return p.ledger.CopyStateFrom(src.ledger)
-}
-
 // occupancyTracker is the lazy per-subarray pulled-window bookkeeping shared
 // by Oracle and OnDemand: a subarray is pulled up from its first covering
 // access until the last covering access ends, then isolated again.

@@ -69,74 +69,6 @@ func TestCycleLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotForkZeroAlloc extends the zero-alloc contract to the sweep
-// engine's fork path: once the snapshot buffers and the fork machine are
-// warm, the whole checkpoint-and-fork cycle — Snapshot of a paused prefix,
-// Restore into the fork, FinishRun to completion — allocates nothing. Only
-// the caches are rebuilt between runs (their accounting is one-shot); they
-// are constructed outside the measured window, exactly as the experiment
-// layer's pooled rigs do.
-func TestSnapshotForkZeroAlloc(t *testing.T) {
-	const instrs = 30_000
-	rec := workload.MustRecord(mustSpec(t, "ammp"), 1, instrs+64)
-	cfg := DefaultConfig()
-	cfg.MaxInstructions = instrs
-
-	cur := rec.Cursor()
-	prefix, err := NewMachine(cfg,
-		buildL1(t, cacti.Instruction, pStatic, 0),
-		buildL1(t, cacti.Data, pGated, 100),
-		cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := prefix.RunUntil(5_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done {
-		t.Fatal("prefix finished before the pause cycle; pick a longer run")
-	}
-
-	// Warm-up: the first Snapshot grows its buffers, the first Restore
-	// allocates the fork's rings and predictor, and the first FinishRun
-	// grows run scratch to steady-state capacity.
-	var snap Snapshot
-	prefix.Snapshot(&snap)
-	fork := new(Machine)
-	fcur := rec.Cursor()
-	if err := fork.Restore(&snap, buildL1(t, cacti.Instruction, pStatic, 0),
-		buildL1(t, cacti.Data, pGated, 100), fcur); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fork.FinishRun(); err != nil {
-		t.Fatal(err)
-	}
-
-	l1i := buildL1(t, cacti.Instruction, pStatic, 0)
-	l1d := buildL1(t, cacti.Data, pGated, 100)
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	prefix.Snapshot(&snap)
-	restoreErr := fork.Restore(&snap, l1i, l1d, fcur)
-	res, runErr := fork.FinishRun()
-	runtime.ReadMemStats(&after)
-	if restoreErr != nil {
-		t.Fatal(restoreErr)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if res.Committed < instrs {
-		t.Fatalf("forked run committed %d, want ≥ %d", res.Committed, instrs)
-	}
-	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
-		t.Fatalf("warm snapshot/restore/finish cycle allocated %d objects; want 0", allocs)
-	}
-}
-
 // TestResetMatchesFreshMachine pins machine reuse: a Reset machine must
 // produce bit-identical results to a freshly constructed one — the property
 // that makes worker-pool machine recycling invisible to the goldens.

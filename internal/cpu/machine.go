@@ -282,8 +282,8 @@ type Machine struct {
 	// comparisons read it.
 	issueAtQ []uint64
 	// sched is a ring parallel to rob; see schedEntry.
-	sched   []schedEntry
-	regProd [isa.NumRegs]uint64
+	sched     []schedEntry
+	regProd   [isa.NumRegs]uint64
 	replays   []replayEvent
 	mshrs     []mshrEntry
 	memQueued int // in-flight memory ops (LSQ occupancy)
@@ -297,9 +297,9 @@ type Machine struct {
 	// carries the event's id and markSeq the exact sequence. Bumping
 	// squashEvent invalidates the whole set in O(1), so the dependent-only
 	// replay path pays neither hashing nor a per-event clear. The three
-	// fields are pure intra-event scratch — never part of simulation state —
-	// and are deliberately excluded from CopyStateFrom (squashEvent must
-	// stay monotonic per machine or stale stamps could alias a future event).
+	// fields are pure intra-event scratch, never part of simulation state;
+	// squashEvent only grows while the mark rings live (allocRings resets
+	// all three together), so a stale stamp cannot alias a future event.
 	squashEvent uint64
 	markEvent   []uint64
 	markSeq     []uint64
@@ -324,11 +324,6 @@ type Machine struct {
 	curLine      uint64
 	haveCurLine  bool
 	lastFetchAt  uint64 // last cycle with an i-cache read, stored +1 (reads recur per fetch cycle)
-
-	// runDone latches when the cycle loop hits a completion condition, so a
-	// paused run (RunUntil) and its resume (FinishRun) agree on whether any
-	// simulation remains.
-	runDone bool
 
 	res Result
 }
@@ -422,15 +417,13 @@ func (m *Machine) Reset(cfg Config, l1i, l1d *cache.L1, stream isa.Stream) error
 	m.haveCurLine = false
 	m.lastFetchAt = 0
 
-	m.runDone = false
-
 	m.res = Result{}
 	return nil
 }
 
 // allocRings (re)allocates the ROB ring and every parallel side ring and
-// scratch buffer for the given power-of-two capacity. Shared by Reset (size
-// change) and Restore (snapshot from a differently sized machine).
+// scratch buffer for the given power-of-two capacity (Reset, on a size
+// change).
 func (m *Machine) allocRings(cap int) {
 	m.rob = make([]robEntry, cap)
 	m.robMask = uint64(cap - 1)

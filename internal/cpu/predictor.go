@@ -50,24 +50,6 @@ func (p *Predictor) Reset() {
 	p.correct = 0
 }
 
-// copyStateFrom makes p an exact copy of src — counter tables, history and
-// statistics — growing the receiver's tables only when their size differs, so
-// the snapshot/fork path stays allocation-free once warm.
-func (p *Predictor) copyStateFrom(src *Predictor) {
-	if len(p.bimodal) != len(src.bimodal) {
-		p.bimodal = make([]uint8, len(src.bimodal))
-		p.gshare = make([]uint8, len(src.gshare))
-		p.chooser = make([]uint8, len(src.chooser))
-	}
-	copy(p.bimodal, src.bimodal)
-	copy(p.gshare, src.gshare)
-	copy(p.chooser, src.chooser)
-	p.history = src.history
-	p.mask = src.mask
-	p.lookups = src.lookups
-	p.correct = src.correct
-}
-
 func taken(counter uint8) bool { return counter >= 2 }
 
 func bump(c uint8, t bool) uint8 {

@@ -32,7 +32,8 @@ func (m *Machine) noteEvent(t uint64) {
 // the processor-side results. It finishes both caches' accounting at the
 // final cycle, so callers can price energy immediately afterwards. If a
 // context was installed with SetContext, its cancellation aborts the run with
-// an error wrapping ctx.Err().
+// an error wrapping ctx.Err(). It must be called at most once per Reset —
+// cache accounting cannot be finalized twice.
 //
 // The loop is event-skipping: every pipeline phase notes the earliest future
 // cycle it is waiting on, and when a cycle makes no progress the clock jumps
@@ -44,58 +45,10 @@ func (m *Machine) noteEvent(t uint64) {
 // and the fresh-vs-replay equivalence tests pin. Steady state allocates
 // nothing.
 func (m *Machine) Run() (Result, error) {
-	return m.FinishRun()
-}
-
-// RunUntil advances the simulation until the clock reaches cycle pause (or
-// the run completes first, whichever comes sooner) and returns whether the
-// run completed. It is the checkpoint half of checkpoint-and-fork: a sweep
-// advances one shared-prefix machine to just before the first cycle where a
-// policy threshold could change a cache decision, snapshots it, and forks
-// per-threshold runs from the image (see Snapshot). Calling RunUntil again
-// with a larger pause resumes from exactly where the previous call stopped —
-// no cycle is simulated twice.
-func (m *Machine) RunUntil(pause uint64) (bool, error) {
-	if err := m.runLoop(pause); err != nil {
-		return false, err
-	}
-	return m.runDone, nil
-}
-
-// FinishRun resumes a (possibly paused) run to completion, finalizes both
-// caches' accounting at the final cycle and returns the processor-side
-// results. Run is FinishRun over a freshly Reset machine; a forked machine
-// (Restore) goes straight to FinishRun. It must be called at most once per
-// Reset/Restore — cache accounting cannot be finalized twice.
-func (m *Machine) FinishRun() (Result, error) {
-	if err := m.runLoop(idleSentinel); err != nil {
-		return m.res, err
-	}
-	m.res.Cycles = m.now
-	if m.now > 0 {
-		m.res.IPC = float64(m.res.Committed) / float64(m.now)
-	}
-	m.l1i.Finish(m.now)
-	m.l1d.Finish(m.now)
-	return m.res, nil
-}
-
-// runLoop is the cycle loop shared by RunUntil and FinishRun. It returns as
-// soon as the clock reaches pause (without executing that cycle) or the run
-// completes (m.runDone). The pause check sits before the cycle executes, so
-// after runLoop(p) every simulated event observed a timestamp < p — the
-// property the fork engine's divergence bound relies on.
-func (m *Machine) runLoop(pause uint64) error {
-	if m.runDone {
-		return nil
-	}
 	for {
-		if m.now >= pause {
-			return nil
-		}
 		if m.ctx != nil && m.iters&ctxPollMask == 0 {
 			if err := m.ctx.Err(); err != nil {
-				return fmt.Errorf("cpu: run aborted at cycle %d: %w", m.now, err)
+				return m.res, fmt.Errorf("cpu: run aborted at cycle %d: %w", m.now, err)
 			}
 		}
 		m.iters++
@@ -125,25 +78,26 @@ func (m *Machine) runLoop(pause uint64) error {
 			m.now++
 			continue
 		}
-		// Idle: jump straight to the earliest noted future event, capped at
-		// the pause cycle so a paused machine stops exactly there. The
+		// Idle: jump straight to the earliest noted future event. The
 		// progress guard and context poll live outside this path — an idle
 		// stretch of any length costs one iteration.
 		next := m.next
 		if next == idleSentinel || next <= m.now {
 			next = m.now + 1
 		}
-		if next > pause {
-			next = pause
-		}
 		if next-m.lastProgress > 5_000_000 {
-			return fmt.Errorf("cpu: no progress for 5M cycles at cycle %d (head=%d tail=%d)",
+			return m.res, fmt.Errorf("cpu: no progress for 5M cycles at cycle %d (head=%d tail=%d)",
 				m.now, m.headSeq, m.tailSeq)
 		}
 		m.now = next
 	}
-	m.runDone = true
-	return nil
+	m.res.Cycles = m.now
+	if m.now > 0 {
+		m.res.IPC = float64(m.res.Committed) / float64(m.now)
+	}
+	m.l1i.Finish(m.now)
+	m.l1d.Finish(m.now)
+	return m.res, nil
 }
 
 // LoopIters reports how many loop iterations the last Run executed. With

@@ -127,26 +127,6 @@ func (p *Pricer) Observer() sram.IdleObserver {
 	}
 }
 
-// CopyStateFrom copies src's accumulated pricing state into p. Both pricers
-// must price the same node list. Because the memo tables are immutable and
-// shared process-wide, a fork that copies the accumulated sums and then
-// prices the same subsequent intervals in the same order produces
-// bit-identical floats to a fresh run — the foundation of the sweep engine's
-// checkpoint-and-fork digest equality (DESIGN.md §12).
-func (p *Pricer) CopyStateFrom(src *Pricer) error {
-	if len(p.nodes) != len(src.nodes) {
-		return fmt.Errorf("energy: pricer node lists differ")
-	}
-	for i := range p.nodes {
-		if p.nodes[i] != src.nodes[i] {
-			return fmt.Errorf("energy: pricer node lists differ")
-		}
-	}
-	copy(p.idleEnergy, src.idleEnergy)
-	p.intervals = src.intervals
-	return nil
-}
-
 // Intervals returns the number of priced isolation intervals.
 func (p *Pricer) Intervals() uint64 { return p.intervals }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"nanocache/internal/cpu"
 	"nanocache/internal/stats"
 )
 
@@ -18,7 +19,9 @@ type MachineCell struct {
 }
 
 // machineCell computes one cell: a conventional and an on-demand run on the
-// given compiled-in machine variant.
+// given compiled-in machine variant. The Table 2 variant leaves
+// RunConfig.CPU nil, so its runs share the digest, and the memo entries, of
+// the lab's baseline and on-demand runs.
 func (l *Lab) machineCell(variant int, bench string) (MachineCell, error) {
 	variants := machineVariants()
 	if variant < 0 || variant >= len(variants) {
@@ -26,13 +29,14 @@ func (l *Lab) machineCell(variant int, bench string) (MachineCell, error) {
 	}
 	v := variants[variant]
 	baseCfg := l.runConfig(bench, Static(), Static())
-	baseCfg.CPU = &v.cfg
+	odCfg := l.runConfig(bench, OnDemandPolicy(), Static())
+	if v.cfg != cpu.DefaultConfig() {
+		baseCfg.CPU, odCfg.CPU = &v.cfg, &v.cfg
+	}
 	base, err := l.run(baseCfg)
 	if err != nil {
 		return MachineCell{}, err
 	}
-	odCfg := l.runConfig(bench, OnDemandPolicy(), Static())
-	odCfg.CPU = &v.cfg
 	od, err := l.run(odCfg)
 	if err != nil {
 		return MachineCell{}, err

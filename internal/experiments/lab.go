@@ -142,8 +142,9 @@ func (s CacheSide) String() string {
 
 // Lab memoizes the architectural runs shared by several figures: one run
 // memo keyed by the run config's canonical identity (RunConfig.Digest, the
-// daemon's "same simulation" key), plus the gated threshold sweeps and the
-// recorded traces they replay.
+// daemon's "same simulation" key), plus the gated threshold sweeps (whose
+// points are ordinary entries of the run memo) and the recorded traces
+// the memoized runs replay.
 //
 // A Lab is safe for concurrent use: the memo tables are mutex-guarded and
 // every entry is a single-flight cell, so two figures requesting the same
@@ -295,24 +296,6 @@ func (l *Lab) runThen(cfg RunConfig, computed func(Outcome)) (Outcome, error) {
 	})
 }
 
-// publish enters an outcome the lab computed outside run (a forked sweep
-// point) into the run memo under its config's digest, unless that config
-// is already memoized or in flight.
-func (l *Lab) publish(o Outcome) error {
-	key, err := o.Config.Digest()
-	if err != nil {
-		return err
-	}
-	c := &inflight[Outcome]{done: make(chan struct{}), val: o}
-	close(c.done)
-	l.mu.Lock()
-	if _, ok := l.runs[key]; !ok {
-		l.runs[key] = c
-	}
-	l.mu.Unlock()
-	return nil
-}
-
 // Options returns the lab's options.
 func (l *Lab) Options() Options { return l.opts }
 
@@ -363,15 +346,12 @@ func (l *Lab) Baseline(bench string) (Outcome, error) {
 // paper); the other cache stays conventional. Points always come back in
 // ascending-threshold order regardless of completion order.
 //
-// Eligible sweeps run incrementally (DESIGN.md §12): the ladder is split
-// into contiguous ascending chunks, one per worker, and each chunk shares a
-// checkpoint-and-fork prefix machine via runGatedBatch — adjacent thresholds
-// share the longest common prefixes, so each worker forks from its own
-// hottest snapshot. Configurations the fork engine cannot express (custom
-// machines, duplicate thresholds) fan out per point as before; either path
-// produces bit-identical outcomes (TestSnapshotForkMatchesFresh). Either
-// way every point lands in the run memo, so a figure that later runs one
-// point's config on its own (the constant-threshold run) reuses it.
+// Every point is one run through the lab's run memo, fanned out over the
+// worker pool: each replays the benchmark's shared trace from cycle zero,
+// and a figure that runs one point's config on its own (the constant-
+// threshold run) joins that point's single-flight cell, in flight or done.
+// The sweep memo adds one thing on top: each point's progress line is
+// emitted once per sweep.
 func (l *Lab) GatedSweep(bench string, side CacheSide, subarrayBytes int) ([]SweepPoint, error) {
 	if subarrayBytes == 0 {
 		subarrayBytes = l.opts.SubarrayBytes
@@ -382,7 +362,9 @@ func (l *Lab) GatedSweep(bench string, side CacheSide, subarrayBytes int) ([]Swe
 		if err != nil {
 			return nil, err
 		}
-		sweptCfg := func(thr uint64) RunConfig {
+		pts := make([]SweepPoint, len(l.thresholds))
+		err = l.forEach(len(l.thresholds), func(j int) error {
+			thr := l.thresholds[j]
 			d, i := Static(), Static()
 			if side == DataCache {
 				d = GatedPolicy(thr, true)
@@ -391,49 +373,13 @@ func (l *Lab) GatedSweep(bench string, side CacheSide, subarrayBytes int) ([]Swe
 			}
 			cfg := l.runConfig(bench, d, i)
 			cfg.SubarrayBytes = subarrayBytes
-			return cfg
-		}
-		pts := make([]SweepPoint, len(l.thresholds))
-		record := func(j int, o Outcome) {
-			pts[j] = SweepPoint{Threshold: l.thresholds[j], Outcome: o, Slowdown: o.Slowdown(base)}
-			l.note("sweep %s %s sub=%dB thr=%d: slowdown %.4f", bench, side, subarrayBytes,
-				l.thresholds[j], o.Slowdown(base))
-		}
-
-		probe := sweptCfg(l.thresholds[0])
-		if tr, err := l.traceFor(probe); err == nil {
-			probe.Trace = tr
-		}
-		if forkEligible(probe, side) && strictlyAscending(l.thresholds) {
-			chunks := chunkRanges(len(l.thresholds), l.opts.parallelism())
-			err = l.forEach(len(chunks), func(ci int) error {
-				lo, hi := chunks[ci][0], chunks[ci][1]
-				cfg := sweptCfg(l.thresholds[lo])
-				cfg.Trace = probe.Trace
-				outs, err := runGatedBatch(cfg, side, l.thresholds[lo:hi])
-				if err != nil {
-					return err
-				}
-				for k, o := range outs {
-					if err := l.publish(o); err != nil {
-						return err
-					}
-					record(lo+k, o)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			return pts, nil
-		}
-
-		err = l.forEach(len(l.thresholds), func(j int) error {
-			o, err := l.run(sweptCfg(l.thresholds[j]))
+			o, err := l.run(cfg)
 			if err != nil {
 				return err
 			}
-			record(j, o)
+			pts[j] = SweepPoint{Threshold: thr, Outcome: o, Slowdown: o.Slowdown(base)}
+			l.note("sweep %s %s sub=%dB thr=%d: slowdown %.4f", bench, side, subarrayBytes,
+				thr, pts[j].Slowdown)
 			return nil
 		})
 		if err != nil {

@@ -20,9 +20,11 @@ func memoOptions() Options {
 }
 
 // TestRunMemoSharesFigureRuns counts simulations: each figure under test
-// reads only runs the figures before it already made (baseline, oracle,
+// reads runs the figures before it already made (baseline, oracle,
 // on-demand, the sweeps and their constant-threshold point, the resizable
-// ladder, predecode's hint-free sweep), so its RunsExecuted delta is zero.
+// ladder, predecode's hint-free sweep), so its RunsExecuted delta is only
+// the runs no earlier figure makes — none, except the machine figure's
+// three non-Table-2 design points (2 runs × 2 benchmarks each).
 func TestRunMemoSharesFigureRuns(t *testing.T) {
 	fig3 := func(l *Lab) error { _, err := l.Figure3(); return err }
 	onDemand := func(l *Lab) error { _, err := l.OnDemand(); return err }
@@ -34,13 +36,16 @@ func TestRunMemoSharesFigureRuns(t *testing.T) {
 		name   string
 		before []func(*Lab) error
 		figure func(*Lab) error
+		want   uint64
 	}{
 		{"summary", []func(*Lab) error{fig3, onDemand, fig8D, fig8I, fig9, predecode},
-			func(l *Lab) error { _, err := l.Summary(); return err }},
+			func(l *Lab) error { _, err := l.Summary(); return err }, 0},
 		{"projection", []func(*Lab) error{fig3, fig8D},
-			func(l *Lab) error { _, err := l.Projection(); return err }},
+			func(l *Lab) error { _, err := l.Projection(); return err }, 0},
 		{"sensitivity at the lab seed", []func(*Lab) error{fig3, onDemand, fig8D},
-			func(l *Lab) error { _, err := l.Sensitivity([]int64{l.opts.Seed}); return err }},
+			func(l *Lab) error { _, err := l.Sensitivity([]int64{l.opts.Seed}); return err }, 0},
+		{"machine", []func(*Lab) error{fig3, onDemand},
+			func(l *Lab) error { _, err := l.MachineSensitivity(); return err }, 12},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,8 +62,8 @@ func TestRunMemoSharesFigureRuns(t *testing.T) {
 			if err := c.figure(lab); err != nil {
 				t.Fatal(err)
 			}
-			if d := RunsExecuted() - before; d != 0 {
-				t.Errorf("%s simulated %d runs the lab already had, want 0", c.name, d)
+			if d := RunsExecuted() - before; d != c.want {
+				t.Errorf("%s simulated %d runs, want %d", c.name, d, c.want)
 			}
 		})
 	}
@@ -88,7 +93,9 @@ func (f *memoFigures) calls(l *Lab) []func() error {
 
 // TestConcurrentFiguresMatchSerial computes the five figures concurrently
 // on one fresh lab, so several goroutines read (and race to compute) the
-// same memoized outcomes, and deep-equals each against a serial lab. CI
+// same memoized outcomes, and deep-equals each against a serial lab. The
+// concurrent lab must also simulate exactly as many runs as the serial one:
+// a figure that asks for a run another figure has in flight joins it. CI
 // runs it under -race -count=10.
 func TestConcurrentFiguresMatchSerial(t *testing.T) {
 	opts := memoOptions()
@@ -98,11 +105,13 @@ func TestConcurrentFiguresMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want memoFigures
+	before := RunsExecuted()
 	for _, call := range want.calls(serial) {
 		if err := call(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	serialRuns := RunsExecuted() - before
 
 	opts.Parallelism = 4
 	lab, err := NewLab(opts)
@@ -112,6 +121,7 @@ func TestConcurrentFiguresMatchSerial(t *testing.T) {
 	var got memoFigures
 	calls := got.calls(lab)
 	errs := make([]error, len(calls))
+	before = RunsExecuted()
 	var wg sync.WaitGroup
 	for i, call := range calls {
 		wg.Add(1)
@@ -121,10 +131,14 @@ func TestConcurrentFiguresMatchSerial(t *testing.T) {
 		}(i, call)
 	}
 	wg.Wait()
+	concurrentRuns := RunsExecuted() - before
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("figure %d: %v", i, err)
 		}
+	}
+	if concurrentRuns != serialRuns {
+		t.Errorf("concurrent figures simulated %d runs, serial %d", concurrentRuns, serialRuns)
 	}
 	wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
 	for i := 0; i < wv.NumField(); i++ {

@@ -134,20 +134,16 @@ func TestLabRunUsesSharedTrace(t *testing.T) {
 // machine-readable; it is a recorded reference, not a portable constant.
 const prePRQuickSweepMS = 153.8
 
-// quickSweep is the reduced Figure-8-style sweep both engines are measured
-// on: one static baseline plus four gated threshold points of one benchmark
-// at 40k instructions. trace == nil regenerates the stream per point (the
-// pre-overhaul path's stream behaviour); a recorded trace replays.
-func quickSweep(b *testing.B, cfg RunConfig, thresholds []uint64, replay bool) {
+// quickSweep is the reduced Figure-8-style sweep the engine is measured on:
+// one static baseline plus four gated threshold points of one benchmark at
+// 40k instructions, each an independent run from cycle zero. tr == nil
+// regenerates the stream per point (the pre-overhaul path's stream
+// behaviour); a recorded trace is replayed by every point, as GatedSweep
+// replays the lab's memoized trace.
+func quickSweep(b *testing.B, cfg RunConfig, tr *isa.Recorded, thresholds []uint64) {
 	b.Helper()
 	base := cfg
-	if replay {
-		tr, err := RecordTrace(base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base.Trace = tr
-	}
+	base.Trace = tr
 	if _, err := Run(base); err != nil {
 		b.Fatal(err)
 	}
@@ -160,55 +156,30 @@ func quickSweep(b *testing.B, cfg RunConfig, thresholds []uint64, replay bool) {
 	}
 }
 
-// forkQuickSweep is quickSweep on the incremental engine: run the static
-// baseline over the recorded trace, then run all gated points through the
-// checkpoint-and-fork batch (DESIGN.md §12). The trace is recorded once by
-// the caller and passed in, mirroring the lab: traceFor memoizes one trace
-// per stream identity, so every sweep, baseline and figure of a benchmark
-// shares a single recording and the marginal cost of a sweep excludes it.
-// BenchmarkSweepReplay reports the recording cost separately as trace_ms.
-func forkQuickSweep(b *testing.B, cfg RunConfig, tr *isa.Recorded, thresholds []uint64) {
-	b.Helper()
-	base := cfg
-	base.Trace = tr
-	if _, err := Run(base); err != nil {
-		b.Fatal(err)
-	}
-	bat := base
-	bat.DPolicy = GatedPolicy(thresholds[0], true)
-	if _, err := runGatedBatch(bat, DataCache, thresholds); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkSweepReplay measures the sweep engine on the reduced quick-sweep
 // and reports the perf metrics the engine is accountable for (recorded by
 // `make bench-save` into BENCH_core.json). The timed headline (ns/op and
-// ms/sweep) is the incremental checkpoint-and-fork engine — the one
-// GatedSweep actually uses; the two predecessor engines are measured
-// off-timer each iteration so the speedup chain stays honest, on this
-// machine, in this run. Trace recording is also off-timer and reported as
-// trace_ms: the lab memoizes one trace per stream identity (single-flight,
-// TestLabRunUsesSharedTrace), so a full figure's worth of sweeps pays it
-// once, not per sweep — charging it to every sweep would misstate the
-// engine's marginal cost. The predecessor fresh/replay engines keep their
-// recording costs in-line, exactly as those engines paid them:
+// ms/sweep) is the per-point replay sweep over a pre-recorded trace — what
+// GatedSweep runs once the lab has the benchmark's trace; the fresh and
+// record-then-replay sweeps are measured off-timer each iteration so the
+// speedup chain stays honest, on this machine, in this run. Trace
+// recording is also off-timer and reported as trace_ms: the lab memoizes
+// one trace per stream identity (single-flight, TestLabRunUsesSharedTrace),
+// so a full figure's worth of sweeps pays it once, not per sweep — charging
+// it to every sweep would misstate the engine's marginal cost:
 //
-//	ms/sweep       incremental (fork-engine) sweep wall time
+//	ms/sweep       per-point replay sweep wall time, trace recorded off-timer
 //	speedup        vs. the recorded pre-overhaul reference (153.8 ms)
 //	trace_ms       one-time trace recording, amortized across a benchmark's
 //	               sweeps by the lab's memoization (off-timer)
-//	fresh_ms       per-point engine with per-point stream regeneration
-//	replay_ms      per-point engine replaying the shared trace, recording
-//	               charged in-line (the previous overhaul's headline)
+//	fresh_ms       per-point sweep with per-point stream regeneration
+//	replay_ms      per-point sweep replaying a trace it records in-line
 //	replay_speedup fresh_ms / replay_ms — what trace replay alone buys
-//	fork_speedup   replay_ms / ms/sweep — what checkpoint-and-fork plus
-//	               amortized recording adds
 //	ns/instr       simulation cost per delivered instruction result
 //	allocs/instr   heap objects per instruction across the whole sweep
-//	               (cycle-loop and fork steady state are pinned at zero by
-//	               TestCycleLoopZeroAlloc and TestSnapshotForkZeroAlloc;
-//	               the remainder is per-point cache/rig construction)
+//	               (the cycle loop's steady state is pinned at zero by
+//	               TestCycleLoopZeroAlloc; the remainder is per-point cache
+//	               and controller construction)
 func BenchmarkSweepReplay(b *testing.B) {
 	thresholds := []uint64{8, 32, 100, 256}
 	const instrs = 40_000
@@ -218,48 +189,47 @@ func BenchmarkSweepReplay(b *testing.B) {
 
 	// One untimed warm-up sweep: the first sweep after process start pays
 	// one-time costs no steady-state sweep repays (pool and scratch growth,
-	// page faults, first-touch of the trace cell); every measured engine
+	// page faults, first-touch of the trace cell); every measured sweep
 	// below is the warm engine.
 	if tr, err := RecordTrace(cfg); err != nil {
 		b.Fatal(err)
 	} else {
-		forkQuickSweep(b, cfg, tr, thresholds)
+		quickSweep(b, cfg, tr, thresholds)
 	}
 	b.ResetTimer()
 
-	var traced, fresh, replayed, forked time.Duration
+	var traced, fresh, replayed, swept time.Duration
 	var allocs uint64
 	var ms runtime.MemStats
 	for i := 0; i < b.N; i++ {
-		b.StopTimer() // ns/op charges the incremental engine only
+		b.StopTimer() // ns/op charges the timed replay sweep only
 		start := time.Now()
-		quickSweep(b, cfg, thresholds, false)
+		quickSweep(b, cfg, nil, thresholds)
 		fresh += time.Since(start)
-		start = time.Now()
-		quickSweep(b, cfg, thresholds, true)
-		replayed += time.Since(start)
 		start = time.Now()
 		tr, err := RecordTrace(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		traced += time.Since(start)
-		// The off-timer predecessor sweeps allocate freely (the fresh
-		// engine regenerates streams per point); collect their garbage
-		// off-timer so the timed section doesn't pay their GC debt.
+		quickSweep(b, cfg, tr, thresholds)
+		replayed += time.Since(start)
+		// The off-timer sweeps allocate freely (the fresh sweep
+		// regenerates streams per point); collect their garbage off-timer
+		// so the timed section doesn't pay their GC debt.
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		b.StartTimer()
 		start = time.Now()
-		forkQuickSweep(b, cfg, tr, thresholds)
-		forked += time.Since(start)
+		quickSweep(b, cfg, tr, thresholds)
+		swept += time.Since(start)
 		b.StopTimer()
 		runtime.ReadMemStats(&ms)
 		allocs += ms.Mallocs - before
 		b.StartTimer()
 	}
-	msPerSweep := float64(forked.Microseconds()) / 1e3 / float64(b.N)
+	msPerSweep := float64(swept.Microseconds()) / 1e3 / float64(b.N)
 	b.ReportMetric(msPerSweep, "ms/sweep")
 	if msPerSweep > 0 {
 		b.ReportMetric(prePRQuickSweepMS/msPerSweep, "speedup")
@@ -270,15 +240,12 @@ func BenchmarkSweepReplay(b *testing.B) {
 	if replayed > 0 {
 		b.ReportMetric(float64(fresh)/float64(replayed), "replay_speedup")
 	}
-	if forked > 0 {
-		b.ReportMetric(float64(replayed)/float64(forked), "fork_speedup")
-	}
 	instrTotal := float64(b.N) * float64(runsPerSweep) * float64(instrs)
-	b.ReportMetric(float64(forked.Nanoseconds())/instrTotal, "ns/instr")
+	b.ReportMetric(float64(swept.Nanoseconds())/instrTotal, "ns/instr")
 	b.ReportMetric(float64(allocs)/instrTotal, "allocs/instr")
 }
 
-// BenchmarkSweepReplayPerBench breaks the incremental sweep down per
+// BenchmarkSweepReplayPerBench breaks the replay sweep down per
 // benchmark: the headline gcc number hides that trace length and miss
 // behaviour vary across workloads, so `make bench-save` records a small
 // spread (a compiler, a memory thrasher, a streaming kernel and a
@@ -294,13 +261,13 @@ func BenchmarkSweepReplayPerBench(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			var forked time.Duration
+			var swept time.Duration
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				forkQuickSweep(b, cfg, tr, thresholds)
-				forked += time.Since(start)
+				quickSweep(b, cfg, tr, thresholds)
+				swept += time.Since(start)
 			}
-			b.ReportMetric(float64(forked.Microseconds())/1e3/float64(b.N), "ms/sweep")
+			b.ReportMetric(float64(swept.Microseconds())/1e3/float64(b.N), "ms/sweep")
 		})
 	}
 }

@@ -78,22 +78,6 @@ func (c *Cursor) Attach(r *Recorded) {
 // Reset rewinds the cursor to the start of its trace.
 func (c *Cursor) Reset() { c.pos = 0 }
 
-// Pos returns the replay position: the number of micro-ops consumed so far.
-// A machine snapshot records it so a forked run's cursor resumes exactly
-// where the snapshotted machine's fetch stage stood.
-func (c *Cursor) Pos() int { return c.pos }
-
-// Seek sets the replay position so the next Next returns op number pos.
-// pos == len(trace) is valid (an exhausted cursor). Out-of-range positions
-// indicate a caller bug (a snapshot restored against a different trace) and
-// panic.
-func (c *Cursor) Seek(pos int) {
-	if pos < 0 || pos > len(c.ops) {
-		panic("isa: cursor seek out of range")
-	}
-	c.pos = pos
-}
-
 // Next implements Stream.
 func (c *Cursor) Next(op *MicroOp) bool {
 	if c.pos >= len(c.ops) {

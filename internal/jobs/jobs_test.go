@@ -400,6 +400,11 @@ func TestResumeAcrossRestart(t *testing.T) {
 		t.Errorf("resumed result = %q, %t; want the uninterrupted merge", b, ok)
 	}
 	// Terminal record survives another resume for listing, without requeue.
+	// The restart follows m2's shutdown: Close waits for its worker, whose
+	// terminal record write lands after the in-memory state reads done.
+	if err := m2.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 	m3 := newTestManager(t, Config{Planner: p2.plan, Blobs: blobs, RecordDir: recordDir})
 	if n, _ := m3.Resume(); n != 0 {
 		t.Errorf("second Resume requeued %d, want 0 (job is terminal)", n)

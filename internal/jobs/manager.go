@@ -114,6 +114,8 @@ type jobRec struct {
 	cancelReq   bool
 	cancelRun   context.CancelFunc
 	waiters     map[int64]chan Update
+	// writeMu serializes the job's record writes; see persist.
+	writeMu sync.Mutex
 }
 
 // Submission errors.

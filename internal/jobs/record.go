@@ -36,17 +36,23 @@ type record struct {
 }
 
 // persist writes the job's current record, if persistence is configured.
-// The snapshot is taken under the lock; the disk write happens outside it.
+// It snapshots the record while holding the job's writeMu and writes it
+// outside m.mu: Submit, Resume, the worker and parallel point workers all
+// persist one job, and serializing them keeps a stale snapshot from being
+// renamed over a newer one (a requeued record over the terminal one).
 func (m *Manager) persist(id string) {
 	if m.cfg.RecordDir == "" {
 		return
 	}
 	m.mu.Lock()
 	rec, ok := m.jobs[id]
+	m.mu.Unlock()
 	if !ok {
-		m.mu.Unlock()
 		return
 	}
+	rec.writeMu.Lock()
+	defer rec.writeMu.Unlock()
+	m.mu.Lock()
 	r := record{
 		ID:          rec.id,
 		Spec:        rec.spec,

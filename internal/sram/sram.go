@@ -142,34 +142,6 @@ func (l *Locality) Finalize(end uint64) {
 	}
 }
 
-// CopyStateFrom makes l an exact copy of src's accumulated recency state.
-// Both trackers must cover the same subarray count and thresholds (they are
-// shape, not state). Part of the sweep engine's checkpoint-and-fork copy.
-func (l *Locality) CopyStateFrom(src *Locality) error {
-	if l.n != src.n {
-		return fmt.Errorf("sram: locality shape mismatch: %d vs %d subarrays", l.n, src.n)
-	}
-	if len(l.thresholds) != len(src.thresholds) {
-		return fmt.Errorf("sram: locality threshold sets differ")
-	}
-	for i := range l.thresholds {
-		if l.thresholds[i] != src.thresholds[i] {
-			return fmt.Errorf("sram: locality threshold sets differ")
-		}
-	}
-	copy(l.lastAccess, src.lastAccess)
-	copy(l.touched, src.touched)
-	copy(l.accesses, src.accesses)
-	l.total = src.total
-	l.gapHist.CopyFrom(src.gapHist)
-	copy(l.gapBucketCnt, src.gapBucketCnt)
-	copy(l.gapBucketSum, src.gapBucketSum)
-	copy(l.hotCycles, src.hotCycles)
-	l.finalized = src.finalized
-	l.endCycle = src.endCycle
-	return nil
-}
-
 // Thresholds returns the evaluation thresholds.
 func (l *Locality) Thresholds() []uint64 { return append([]uint64(nil), l.thresholds...) }
 
@@ -279,22 +251,6 @@ func (g *Ledger) EndIdle(sub int, idleCycles uint64, reprecharged bool) {
 	if g.obs != nil {
 		g.obs(sub, idleCycles, reprecharged)
 	}
-}
-
-// CopyStateFrom makes g an exact copy of src's accumulated pull-up/idle
-// accounting. The receiver keeps its own observer: a forked run's intervals
-// must flow to the fork's energy pricer, not the snapshotted run's. Part of
-// the sweep engine's checkpoint-and-fork copy.
-func (g *Ledger) CopyStateFrom(src *Ledger) error {
-	if g.n != src.n {
-		return fmt.Errorf("sram: ledger shape mismatch: %d vs %d subarrays", g.n, src.n)
-	}
-	copy(g.pulled, src.pulled)
-	copy(g.idle, src.idle)
-	g.toggles = src.toggles
-	g.idleSum = src.idleSum
-	g.idleHist.CopyFrom(src.idleHist)
-	return nil
 }
 
 // PulledCycles returns total pulled-up subarray-cycles.

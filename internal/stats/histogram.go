@@ -167,23 +167,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// CopyFrom makes h an exact copy of src, reusing h's bucket storage when
-// large enough. It is the histogram's piece of the sweep engine's
-// checkpoint-and-fork state copy: a forked run's histogram must continue from
-// the prefix's exact bucket counts so the final distributions are
-// bit-identical to a fresh run's.
-func (h *Histogram) CopyFrom(src *Histogram) {
-	if cap(h.buckets) < len(src.buckets) {
-		h.buckets = make([]uint64, len(src.buckets))
-	}
-	h.buckets = h.buckets[:len(src.buckets)]
-	copy(h.buckets, src.buckets)
-	h.count = src.count
-	h.sum = src.sum
-	h.min = src.min
-	h.max = src.max
-}
-
 // Reset clears the histogram.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
